@@ -9,6 +9,7 @@ use std::fmt;
 pub struct Args {
     subcommand: Option<String>,
     options: BTreeMap<String, String>,
+    help: bool,
 }
 
 /// Errors produced while parsing or validating arguments.
@@ -54,6 +55,8 @@ impl Args {
     /// # Errors
     ///
     /// Returns [`ArgError::MissingValue`] if a `--flag` has no value.
+    /// `--help` and `-h` are the exceptions: they take no value and
+    /// mark the command line as a usage request (see [`Args::wants_help`]).
     pub fn parse<I, S>(argv: I) -> Result<Self, ArgError>
     where
         I: IntoIterator<Item = S>,
@@ -62,7 +65,9 @@ impl Args {
         let mut out = Args::default();
         let mut iter = argv.into_iter().map(Into::into).peekable();
         while let Some(tok) = iter.next() {
-            if let Some(key) = tok.strip_prefix("--") {
+            if tok == "--help" || tok == "-h" {
+                out.help = true;
+            } else if let Some(key) = tok.strip_prefix("--") {
                 let value = iter
                     .next()
                     .ok_or_else(|| ArgError::MissingValue(key.to_string()))?;
@@ -74,6 +79,11 @@ impl Args {
             }
         }
         Ok(out)
+    }
+
+    /// True if `--help` or `-h` appeared.
+    pub fn wants_help(&self) -> bool {
+        self.help
     }
 
     /// The subcommand, if any.
@@ -144,6 +154,21 @@ mod tests {
     fn missing_value_is_an_error() {
         let e = Args::parse(["run", "--app"]).unwrap_err();
         assert_eq!(e, ArgError::MissingValue("app".into()));
+    }
+
+    #[test]
+    fn bare_help_flag_takes_no_value() {
+        for flag in ["--help", "-h"] {
+            let a = Args::parse(["run", flag]).unwrap();
+            assert_eq!(a.subcommand(), Some("run"));
+            assert!(a.wants_help());
+        }
+        let a = Args::parse(["run", "--app", "jacobi", "--help"]).unwrap();
+        assert!(a.wants_help());
+        assert_eq!(a.get("app"), Some("jacobi"));
+        assert!(!Args::parse(["run", "--app", "jacobi"])
+            .unwrap()
+            .wants_help());
     }
 
     #[test]

@@ -25,6 +25,7 @@ pub(crate) fn help() -> String {
 finepack-sim — FinePack (HPCA 2023) reproduction driver
 
 USAGE: finepack-sim <command> [--option value]...
+       finepack-sim <command> --help   (that command's usage; also -h)
 
 COMMANDS:
   run              simulate one app across paradigms
@@ -47,7 +48,8 @@ COMMANDS:
                    doubling GPU counts
                    [--collective <name>|all] [--payload BYTES]
                    [--msg-dist fixed:N|uniform:MIN:MAX|bimodal:FINE:BULK:PCT]
-                   [--gpus N] [--max-gpus N] [--pcie 4|5|6]
+                   [--gpus N (default 8, or --max-gpus if fewer)]
+                   [--max-gpus N (default 16)] [--pcie 4|5|6]
                    [--iterations K] [--scale-down S] [--seed S]
                    [--flow-control open|credited] [--jobs N]
                    [--intra-jobs N] [--bench-out FILE]
@@ -168,6 +170,25 @@ failed after retries, one-shot or daemon-served); 2 unrecoverable
 (usage, I/O, socket/protocol, or simulation error).
 "
     .to_string()
+}
+
+/// One command's usage text: its entry in the `help` command list, or
+/// `None` for a name that is not a command.
+pub(crate) fn usage(cmd: &str) -> Option<String> {
+    let help = help();
+    let commands = help.split("COMMANDS:\n").nth(1)?.split("\n\n").next()?;
+    // An entry starts at a two-space indent; its continuation lines sit deeper.
+    let is_entry = |l: &str| l.starts_with("  ") && !l.starts_with("   ");
+    let mut lines = commands
+        .lines()
+        .skip_while(|l| !is_entry(l) || l.split_whitespace().next() != Some(cmd));
+    let first = lines.next()?;
+    let mut out = format!("USAGE: finepack-sim {cmd} [--option value]...\n\n");
+    for l in std::iter::once(first).chain(lines.take_while(|l| !is_entry(l))) {
+        out.push_str(l);
+        out.push('\n');
+    }
+    Some(out)
 }
 
 /// Parses the collective knobs (`--payload`, `--msg-dist`) into a
@@ -721,11 +742,20 @@ pub(crate) fn collectives(args: &Args) -> Result<String, CliError> {
     // The crossover table at a fixed GPU count uses the paper's strong
     // scaling (same semantics as `run`); the scaling section below
     // switches to weak scaling, the data-parallel training regime.
-    let spec = spec_from_gpus(args, 8)?;
+    let max_gpus: u8 = args.get_parsed("max-gpus", 16u8, "integer 2-64")?;
+    if max_gpus < 2 {
+        return Err(ArgError::Invalid {
+            key: "max-gpus".into(),
+            value: max_gpus.to_string(),
+            expected: "integer 2-64",
+        }
+        .into());
+    }
+    // Without --gpus, the crossover runs on 8 GPUs or --max-gpus if fewer.
+    let spec = spec_from_gpus(args, max_gpus.min(8))?;
     let cfg = system_from(args, &spec)?;
     let pool = pool_from(args)?;
     let tuning = tuning_from(args)?;
-    let max_gpus: u8 = args.get_parsed("max-gpus", 16u8, "integer 2-64")?;
     if max_gpus < spec.num_gpus {
         return Err(ArgError::Invalid {
             key: "max-gpus".into(),
@@ -2180,5 +2210,30 @@ mod tests {
         )
         .unwrap();
         assert!(out.contains("5B"));
+    }
+
+    #[test]
+    fn collectives_gpus_default_follows_a_small_max_gpus() {
+        let run = |extra: &[&str]| {
+            let mut argv = vec![
+                "collectives",
+                "--collective",
+                "ring-allreduce",
+                "--scale-down",
+                "256",
+                "--iterations",
+                "1",
+            ];
+            argv.extend_from_slice(extra);
+            collectives(&Args::parse(argv).unwrap())
+        };
+        let out = run(&["--max-gpus", "4"]).unwrap();
+        assert!(out.contains("crossover on 4 GPUs"), "{out}");
+        assert_eq!(out, run(&["--gpus", "4", "--max-gpus", "4"]).unwrap());
+        // An explicit conflict is still an error.
+        let e = run(&["--gpus", "8", "--max-gpus", "4"]).unwrap_err();
+        assert!(e.to_string().contains("expected at least --gpus"), "{e}");
+        let e = run(&["--max-gpus", "1"]).unwrap_err();
+        assert!(e.to_string().contains("expected integer 2-64"), "{e}");
     }
 }

@@ -58,6 +58,14 @@ where
         return Ok(CmdOut::clean(commands::version()));
     }
     let args = Args::parse(argv)?;
+    if args.wants_help() {
+        return match args.subcommand() {
+            None | Some("help") => Ok(CmdOut::clean(commands::help())),
+            Some(cmd) => commands::usage(cmd)
+                .map(CmdOut::clean)
+                .ok_or_else(|| CliError::Usage(format!("unknown command `{cmd}` (try `help`)"))),
+        };
+    }
     match args.subcommand() {
         None | Some("help") => Ok(CmdOut::clean(commands::help())),
         Some("version") => Ok(CmdOut::clean(commands::version())),
@@ -121,6 +129,56 @@ mod tests {
             assert!(h.contains(cmd), "help missing {cmd}");
         }
         assert_eq!(run(Vec::<String>::new()).unwrap(), h);
+    }
+
+    #[test]
+    fn help_flag_prints_the_command_usage() {
+        let run_usage = run(["run", "--help"]).unwrap();
+        assert!(
+            run_usage.starts_with("USAGE: finepack-sim run"),
+            "{run_usage}"
+        );
+        assert!(run_usage.contains("--app <name>"), "{run_usage}");
+        assert!(!run_usage.contains("suite "), "{run_usage}");
+        assert_eq!(run(["run", "-h"]).unwrap(), run_usage);
+        assert_eq!(
+            run(["run", "--app", "jacobi", "--help"]).unwrap(),
+            run_usage
+        );
+        // Every command listed in `help` answers its own --help cleanly.
+        for cmd in [
+            "run",
+            "suite",
+            "collectives",
+            "goodput",
+            "sweep-subheader",
+            "faults",
+            "bench",
+            "trace",
+            "audit",
+            "area",
+            "record",
+            "replay",
+            "inspect",
+            "analyze",
+            "serve",
+            "submit",
+            "status",
+            "shutdown",
+            "version",
+        ] {
+            let out = execute([cmd, "--help"]).unwrap();
+            assert_eq!(out.exit_code(), EXIT_CLEAN, "{cmd}");
+            assert!(
+                out.text.contains(&format!("  {cmd} ")),
+                "{cmd}: {}",
+                out.text
+            );
+        }
+        let whole = run(["help"]).unwrap();
+        assert_eq!(run(["--help"]).unwrap(), whole);
+        assert_eq!(run(["help", "-h"]).unwrap(), whole);
+        assert!(run(["frobnicate", "--help"]).is_err());
     }
 
     #[test]

@@ -93,16 +93,28 @@ impl GpuConfig {
     /// # Panics
     ///
     /// Panics if the configuration is inconsistent (e.g. sector size does
-    /// not divide the cache block size).
+    /// not divide the cache block size), or if a warp or cache block is
+    /// wider than the coalescer's masks: `active_mask` is a `u32`, so at
+    /// most 32 lanes, and a block's byte mask is a `u128`, so at most
+    /// 128 bytes.
     pub fn validate(&self) {
         assert!(self.cache_block_bytes.is_power_of_two());
+        assert!(
+            self.cache_block_bytes <= 128,
+            "cache_block_bytes {} exceeds the 128-byte coalescer mask",
+            self.cache_block_bytes
+        );
         assert!(self.sector_bytes.is_power_of_two());
         assert_eq!(
             self.cache_block_bytes % self.sector_bytes,
             0,
             "sectors must tile the cache block"
         );
-        assert!(self.warp_size > 0 && self.warp_size <= 64);
+        assert!(
+            self.warp_size > 0 && self.warp_size <= 32,
+            "warp_size {} must be 1-32 (the width of a warp store's active_mask)",
+            self.warp_size
+        );
         assert!(self.num_sms > 0);
         assert!(self.max_threads_per_cta <= self.max_threads_per_sm);
     }
@@ -150,6 +162,22 @@ mod tests {
     fn bad_sector_panics() {
         let mut c = GpuConfig::gv100();
         c.sector_bytes = 256; // larger than the cache block: cannot tile it
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "must be 1-32 (the width of a warp store's active_mask)")]
+    fn warp_wider_than_active_mask_panics() {
+        let mut c = GpuConfig::gv100();
+        c.warp_size = 64;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 128-byte coalescer mask")]
+    fn block_wider_than_byte_mask_panics() {
+        let mut c = GpuConfig::gv100();
+        c.cache_block_bytes = 256;
         c.validate();
     }
 }

@@ -8,7 +8,7 @@
 use sim_engine::{Histogram, SimTime};
 
 use crate::addr::{AddressMap, GpuId};
-use crate::coalescer::{coalesce_warp_store, route_txn};
+use crate::coalescer::{extent_payload, BlockMasks};
 use crate::config::GpuConfig;
 use crate::trace::{KernelTrace, RemoteStore, TraceOp};
 
@@ -177,6 +177,7 @@ impl Gpu {
         let mut probes: Vec<TimedProbe> = Vec::new();
         let mut fences = Vec::new();
         let mut stats = KernelStats::new();
+        let mut blocks = BlockMasks::default();
 
         for op in &trace.ops {
             match op {
@@ -191,31 +192,35 @@ impl Gpu {
                     active_mask,
                     value_seed,
                 } => {
-                    let txns = coalesce_warp_store(
+                    let sm = next_store_sm;
+                    blocks.coalesce(
                         &self.config,
                         pattern,
                         *bytes_per_lane,
                         *active_mask,
-                        *value_seed,
-                    );
-                    for txn in txns {
-                        sm_clock[next_store_sm] += u64::from(self.config.store_issue_cycles);
-                        match route_txn(&self.map, self.id, txn) {
-                            Ok(remote) => {
-                                stats.remote_size_hist.record(u64::from(remote.len()));
-                                stats.remote_bytes += u64::from(remote.len());
-                                stats.remote_stores += 1;
-                                egress.push(TimedStore {
-                                    time: self.config.clock.cycles_to_time(sm_clock[next_store_sm]),
-                                    store: remote,
-                                });
-                            }
-                            Err(local) => {
-                                stats.local_bytes += u64::from(local.len());
+                        |addr, len| {
+                            sm_clock[sm] += u64::from(self.config.store_issue_cycles);
+                            let dst = self.map.owner(addr);
+                            if dst == self.id {
+                                // Local payloads never leave the GPU: count, don't build.
+                                stats.local_bytes += u64::from(len);
                                 stats.local_stores += 1;
+                                return;
                             }
-                        }
-                    }
+                            stats.remote_size_hist.record(u64::from(len));
+                            stats.remote_bytes += u64::from(len);
+                            stats.remote_stores += 1;
+                            egress.push(TimedStore {
+                                time: self.config.clock.cycles_to_time(sm_clock[sm]),
+                                store: RemoteStore {
+                                    src: self.id,
+                                    dst,
+                                    addr,
+                                    data: extent_payload(addr, len, *value_seed),
+                                },
+                            });
+                        },
+                    );
                     next_store_sm = (next_store_sm + 1) % num_sms;
                 }
                 TraceOp::Fence => {

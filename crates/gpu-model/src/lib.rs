@@ -37,7 +37,7 @@ mod traceio;
 
 pub use addr::{AddressMap, GpuId};
 pub use analysis::{profile_run, StoreProfile};
-pub use coalescer::{coalesce_warp_store, route_txn, StoreTxn};
+pub use coalescer::{coalesce_warp_store, StoreTxn};
 pub use config::GpuConfig;
 pub use gpu::{Gpu, KernelRun, KernelStats, TimedProbe, TimedStore};
 pub use memory::MemoryImage;

@@ -1,12 +1,12 @@
 //! Randomized property tests for the GPU model: the L1 coalescer must
 //! cover exactly the bytes the warp wrote, with per-lane conflict
-//! resolution, and routing must partition cleanly by address ownership.
+//! resolution, and replay must route cleanly by address ownership.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use gpu_model::{
-    coalesce_warp_store, route_txn, store_byte, AccessPattern, AddressMap, GpuConfig, GpuId,
-    MemoryImage,
+    coalesce_warp_store, store_byte, AccessPattern, AddressMap, Gpu, GpuConfig, GpuId, KernelTrace,
+    MemoryImage, TraceOp,
 };
 use sim_engine::DetRng;
 
@@ -69,27 +69,53 @@ fn coalescer_covers_exactly_the_written_bytes() {
     }
 }
 
-/// Routing partitions transactions: a store is remote iff its owner
-/// differs from the issuing GPU, and the destination is the owner.
+/// Replay routes every coalesced transaction by ownership: each remote
+/// egress goes to the owner of its address, never back to the issuing
+/// GPU, and stays inside the owner's window; local plus remote bytes
+/// equal the distinct bytes the warp stores wrote.
 #[test]
-fn routing_partitions_by_ownership() {
-    let map = AddressMap::new(4, 1 << 30);
+fn replay_routes_by_ownership_and_conserves_bytes() {
+    const WINDOW: u64 = 1 << 20;
+    let map = AddressMap::new(4, WINDOW);
     let mut rng = DetRng::new(0x69_0002, "routing");
-    for _ in 0..500 {
-        let line = rng.next_u64_below((4u64 << 30) / 128);
-        let src = rng.next_u64_below(4) as u8;
-        let addr = line * 128;
-        let txn = gpu_model::StoreTxn {
-            addr,
-            data: vec![7; 8],
-        };
-        match route_txn(&map, GpuId::new(src), txn) {
-            Ok(remote) => {
-                assert_ne!(remote.dst, GpuId::new(src));
-                assert_eq!(remote.dst, map.owner(addr));
+    for _ in 0..200 {
+        let src = GpuId::new(rng.next_u64_below(4) as u8);
+        let gpu = Gpu::new(GpuConfig::tiny(), src, map);
+        let mut trace = KernelTrace::new("route");
+        let mut written = 0u64;
+        for _ in 0..rng.next_in_range(1, 16) {
+            // Lanes land near window boundaries so stores mix local and
+            // remote bytes, and wide lanes straddle cache blocks.
+            let addrs: Vec<u64> = (0..32)
+                .map(|_| rng.next_in_range(1, 4) * WINDOW - 256 + rng.next_u64_below(512))
+                .collect();
+            let bytes_per_lane = [1u32, 4, 8, 130][rng.next_u64_below(4) as usize];
+            let active_mask = rng.next_u64() as u32;
+            let mut bytes = HashSet::new();
+            for (lane, &a) in addrs.iter().enumerate() {
+                if active_mask & (1 << lane) != 0 {
+                    bytes.extend(a..a + u64::from(bytes_per_lane));
+                }
             }
-            Err(_) => assert_eq!(map.owner(addr), GpuId::new(src)),
+            written += bytes.len() as u64;
+            trace.push(TraceOp::WarpStore {
+                pattern: AccessPattern::Scattered { addrs },
+                bytes_per_lane,
+                active_mask,
+                value_seed: rng.next_u64(),
+            });
         }
+        let run = gpu.execute_kernel(&trace);
+        for t in &run.egress {
+            let s = &t.store;
+            assert_eq!(s.src, src);
+            assert_ne!(s.dst, src);
+            assert_eq!(s.dst, map.owner(s.addr));
+            assert_eq!(s.dst, map.owner(s.addr + u64::from(s.len()) - 1));
+        }
+        let remote: u64 = run.egress.iter().map(|t| u64::from(t.store.len())).sum();
+        assert_eq!(remote, run.stats.remote_bytes);
+        assert_eq!(run.stats.local_bytes + run.stats.remote_bytes, written);
     }
 }
 
