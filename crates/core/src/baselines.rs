@@ -253,10 +253,6 @@ impl EgressPath for WriteCombiningEgress {
     fn set_payload_mode(&mut self, mode: PayloadMode) {
         self.payload_mode = mode;
     }
-
-    fn boxed_clone(&self) -> Box<dyn EgressPath> {
-        Box::new(self.clone())
-    }
 }
 
 /// GPS-like egress: cacheline write combining plus publish–subscribe
@@ -410,10 +406,6 @@ impl EgressPath for GpsEgress {
 
     fn set_payload_mode(&mut self, mode: PayloadMode) {
         self.payload_mode = mode;
-    }
-
-    fn boxed_clone(&self) -> Box<dyn EgressPath> {
-        Box::new(self.clone())
     }
 }
 

@@ -394,12 +394,6 @@ pub trait EgressPath: std::fmt::Debug + Send {
     fn queue_depth(&self) -> usize {
         0
     }
-
-    /// Clones the path — state, metrics, and buffers — behind a fresh
-    /// box. This is the snapshot primitive intra-run sharding relies
-    /// on: a shard elaborates on a copy while the original stays
-    /// untouched for a possible serial fallback.
-    fn boxed_clone(&self) -> Box<dyn EgressPath>;
 }
 
 /// The FinePack egress path: remote write queue + packetizer.
@@ -653,10 +647,6 @@ impl EgressPath for FinePackEgress {
     fn queue_depth(&self) -> usize {
         self.rwq.buffered_entries()
     }
-
-    fn boxed_clone(&self) -> Box<dyn EgressPath> {
-        Box::new(self.clone())
-    }
 }
 
 /// Today's hardware: every store leaves immediately as its own TLP.
@@ -770,10 +760,6 @@ impl EgressPath for RawP2pEgress {
 
     fn set_payload_mode(&mut self, mode: PayloadMode) {
         self.payload_mode = mode;
-    }
-
-    fn boxed_clone(&self) -> Box<dyn EgressPath> {
-        Box::new(self.clone())
     }
 }
 

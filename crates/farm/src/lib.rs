@@ -2,7 +2,7 @@
 //! jobs over a unix socket from a content-addressed result cache.
 //!
 //! The simulator's determinism contract (byte-identical reports at any
-//! `--jobs` / `--intra-jobs`) is what makes results cacheable at all:
+//! `--jobs`) is what makes results cacheable at all:
 //! a sweep point's output is a pure function of its
 //! ([`system::SystemConfig`], seed, workload identity) fingerprint plus
 //! the binary that produced it. The farm exploits that:

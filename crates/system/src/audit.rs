@@ -116,8 +116,8 @@ pub fn audit_run(
         TraceHandle::new(audit.clone() as Arc<Mutex<dyn TraceCollector>>),
         Some(SAMPLE_EVERY),
     );
-    for iter_runs in prep.runs() {
-        runner.try_run_iteration(iter_runs, prep.dma_plan())?;
+    for (iter_runs, &unique) in prep.runs().iter().zip(prep.unique_per_iter()) {
+        runner.try_run_iteration(iter_runs, prep.dma_plan(), unique)?;
     }
     // The ledger and images must be read before `finish` consumes the
     // runner.

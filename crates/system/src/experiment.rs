@@ -20,7 +20,7 @@ use workloads::{CommPattern, RunSpec, Workload};
 use crate::config::SystemConfig;
 use crate::fault::RunError;
 use crate::paradigm::Paradigm;
-use crate::report::RunReport;
+use crate::report::{iteration_unique_bytes, RunReport};
 use crate::runner::{DmaPlan, Runner};
 
 /// Bytes of physical memory per GPU in the node address map (Table III).
@@ -70,18 +70,7 @@ impl PreparedWorkload {
             })
             .collect();
         let merged = merge_stats(&runs);
-        let unique_per_iter = runs
-            .iter()
-            .map(|iter_runs| {
-                let mut tracker = crate::report::UniqueTracker::new();
-                for run in iter_runs {
-                    for t in run.egress.iter().chain(run.atomics.iter()) {
-                        tracker.add(t.store.addr, t.store.len());
-                    }
-                }
-                tracker.unique_bytes()
-            })
-            .collect();
+        let unique_per_iter = runs.iter().map(|r| iteration_unique_bytes(r)).collect();
         PreparedWorkload {
             name: app.name().to_string(),
             read_fraction: app.read_fraction(),
@@ -124,6 +113,12 @@ impl PreparedWorkload {
         &self.merged
     }
 
+    /// Unique bytes written per iteration (see
+    /// [`iteration_unique_bytes`]), cached at preparation time.
+    pub(crate) fn unique_per_iter(&self) -> &[u64] {
+        &self.unique_per_iter
+    }
+
     /// Simulates this workload under `paradigm` on `cfg`.
     ///
     /// # Panics
@@ -142,11 +137,7 @@ impl PreparedWorkload {
     ///
     /// Propagates [`RunError`] from the first failing iteration.
     pub fn try_run(&self, cfg: &SystemConfig, paradigm: Paradigm) -> Result<RunReport, RunError> {
-        let mut runner = Runner::new(*cfg, paradigm, self.gps_unsubscribed, false);
-        for (iter_runs, &unique) in self.runs.iter().zip(&self.unique_per_iter) {
-            runner.try_run_iteration_precomputed(iter_runs, &self.dma_plan, unique)?;
-        }
-        Ok(runner.finish(&self.name, self.read_fraction))
+        self.try_run_traced(cfg, paradigm, TraceHandle::off(), None)
     }
 
     /// [`PreparedWorkload::try_run`] with a trace attached: lifecycle
@@ -163,13 +154,13 @@ impl PreparedWorkload {
         &self,
         cfg: &SystemConfig,
         paradigm: Paradigm,
-        trace: telemetry::TraceHandle,
-        sample_every: Option<sim_engine::SimTime>,
+        trace: TraceHandle,
+        sample_every: Option<SimTime>,
     ) -> Result<RunReport, RunError> {
         let mut runner = Runner::new(*cfg, paradigm, self.gps_unsubscribed, false);
         runner.attach_trace(trace, sample_every);
         for (iter_runs, &unique) in self.runs.iter().zip(&self.unique_per_iter) {
-            runner.try_run_iteration_precomputed(iter_runs, &self.dma_plan, unique)?;
+            runner.try_run_iteration(iter_runs, &self.dma_plan, unique)?;
         }
         Ok(runner.finish(&self.name, self.read_fraction))
     }
@@ -858,6 +849,22 @@ mod tests {
         let b = prep.run(&cfg, Paradigm::P2pStores);
         assert_eq!(a.unique_bytes, b.unique_bytes);
         assert!(a.total_time < b.total_time);
+    }
+
+    #[test]
+    fn unique_bytes_are_counted_per_iteration() {
+        let (cfg, mut spec) = tiny_cfg();
+        spec.iterations = 2;
+        let prep = PreparedWorkload::new(&Jacobi::default(), &cfg, &spec);
+        let per_iter = prep.unique_per_iter();
+        assert!(per_iter.iter().all(|&b| b > 0), "{per_iter:?}");
+        // Within one iteration a rewritten byte counts once...
+        let iter0 = &prep.runs()[0];
+        let twice: Vec<KernelRun> = iter0.iter().chain(iter0).cloned().collect();
+        assert_eq!(iteration_unique_bytes(&twice), per_iter[0]);
+        // ...while every iteration's values count again in the report.
+        let report = prep.run(&cfg, Paradigm::FinePack);
+        assert_eq!(report.unique_bytes, per_iter.iter().sum::<u64>());
     }
 
     #[test]

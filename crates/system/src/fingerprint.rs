@@ -14,9 +14,7 @@
 //!   length prefix, so adjacent fields can never alias (`"ab","c"` vs
 //!   `"a","bc"` digest differently).
 //! - Harness knobs that provably do not affect results are *excluded*:
-//!   [`SystemConfig::intra_jobs`] is normalized to 1 before hashing
-//!   (DESIGN.md §12 pins bit-identity across intra-run worker counts),
-//!   and sweep-level `--jobs` never reaches the config at all.
+//!   sweep-level `--jobs` never reaches the config at all.
 //! - The [`SystemConfig`] is absorbed through its `Debug` rendering.
 //!   Every field of the config tree is `Copy` data rendered by derived
 //!   `Debug` impls (no maps, no addresses), and Rust renders `f64` with
@@ -140,15 +138,6 @@ impl std::fmt::Display for ConfigFingerprint {
 ///     .workload("pagerank", &spec)
 ///     .paradigms(&Paradigm::FIG9)
 ///     .finish();
-/// // Harness parallelism is excluded: the same system sharded across
-/// // four intra-run workers produces bit-identical results, so it
-/// // fingerprints identically.
-/// let b = FingerprintBuilder::new()
-///     .system(&cfg.with_intra_jobs(4))
-///     .workload("pagerank", &spec)
-///     .paradigms(&Paradigm::FIG9)
-///     .finish();
-/// assert_eq!(a, b);
 /// // Any simulated-system knob is covered.
 /// let c = FingerprintBuilder::new()
 ///     .system(&cfg.open_loop())
@@ -184,15 +173,11 @@ impl FingerprintBuilder {
 
     /// Absorbs the complete simulated-system configuration.
     ///
-    /// The config is first normalized — `intra_jobs` forced to 1, the
-    /// one field that is a harness knob rather than a property of the
-    /// simulated machine — then rendered via `Debug` (see the module
-    /// docs for why that rendering is canonical) and absorbed.
+    /// The config is rendered via `Debug` (see the module docs for why
+    /// that rendering is canonical) and absorbed.
     pub fn system(mut self, cfg: &SystemConfig) -> Self {
-        let mut normalized = *cfg;
-        normalized.intra_jobs = 1;
         let mut rendered = String::new();
-        let _ = write!(rendered, "{normalized:?}");
+        let _ = write!(rendered, "{cfg:?}");
         self.bytes.push("system", &rendered);
         self
     }
@@ -269,10 +254,9 @@ mod tests {
         assert_ne!(ConfigFingerprint::of(b"ab"), ConfigFingerprint::of(b"ba"));
     }
 
-    /// The cache-correctness property test the ISSUE asks for: every
-    /// single-field perturbation of [`SystemConfig`] must yield a
-    /// distinct fingerprint (no two sweep points can collide on a
-    /// stale cached result), while harness knobs must *not* perturb it.
+    /// Cache correctness: every single-field perturbation of
+    /// [`SystemConfig`] must yield a distinct fingerprint (no two sweep
+    /// points can collide on a stale cached result).
     #[test]
     fn every_config_knob_perturbs_the_fingerprint() {
         let base = SystemConfig::paper(4);
@@ -329,13 +313,6 @@ mod tests {
             variants.len(),
             "two distinct configs collided on one fingerprint"
         );
-    }
-
-    #[test]
-    fn harness_knobs_are_excluded() {
-        let base = SystemConfig::paper(4);
-        assert_eq!(fp(&base), fp(&base.with_intra_jobs(4)));
-        assert_eq!(fp(&base), fp(&base.with_intra_jobs(16)));
     }
 
     #[test]

@@ -54,6 +54,8 @@ pub use fault::{FabricFault, FaultProfile, Outage, RunError, RunnerError};
 pub use fingerprint::{CanonicalBytes, ConfigFingerprint, FingerprintBuilder};
 pub use link::{Fabric, FcStats, Link, LinkDelivery};
 pub use paradigm::Paradigm;
-pub use report::{RunReport, TrafficBreakdown, UniqueTracker, REPORT_SCHEMA_VERSION};
+pub use report::{
+    iteration_unique_bytes, RunReport, TrafficBreakdown, UniqueTracker, REPORT_SCHEMA_VERSION,
+};
 pub use runner::{DmaPlan, Runner};
 pub use topology::{RoutedFabric, SendOutcome, Topology};

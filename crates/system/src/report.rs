@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 
 use finepack::{EgressMetrics, ReplayAmplification};
+use gpu_model::KernelRun;
 use sim_engine::SimTime;
 
 use crate::paradigm::Paradigm;
@@ -72,27 +73,26 @@ impl UniqueTracker {
         }
     }
 
-    /// Credits `bytes` already known to be unique — computed once at
-    /// workload-preparation time from the same (paradigm-independent)
-    /// store stream — without touching the line map. This is the fast
-    /// path the runner takes when the caller pre-aggregated an
-    /// iteration; results are identical to replaying the stream through
-    /// [`UniqueTracker::add`].
-    pub fn add_precomputed(&mut self, bytes: u64) {
-        self.unique_total += bytes;
-    }
-
-    /// Unique bytes recorded since the last [`UniqueTracker::barrier`].
+    /// Unique bytes recorded so far.
     pub fn unique_bytes(&self) -> u64 {
         self.unique_total
     }
+}
 
-    /// Iteration barrier: values become final; subsequent writes to the
-    /// same addresses count as unique again (they are next iteration's
-    /// values, which consumers do read).
-    pub fn barrier(&mut self) {
-        self.lines.clear();
+/// Unique bytes one iteration writes: every remote store and atomic of
+/// `runs` (one [`KernelRun`] per GPU) through a fresh [`UniqueTracker`].
+/// Each iteration starts from an empty tracker — values become final
+/// at the barrier, and rewriting them next iteration produces values
+/// consumers do read. The count depends only on the store stream, not
+/// on the paradigm moving it.
+pub fn iteration_unique_bytes(runs: &[KernelRun]) -> u64 {
+    let mut tracker = UniqueTracker::new();
+    for run in runs {
+        for t in run.egress.iter().chain(run.atomics.iter()) {
+            tracker.add(t.store.addr, t.store.len());
+        }
     }
+    tracker.unique_bytes()
 }
 
 /// The wire-byte classification of Fig 10.
@@ -240,15 +240,6 @@ mod tests {
         t.add(0x100, 8); // rewrite: not unique
         t.add(0x104, 8); // half-overlapping
         assert_eq!(t.unique_bytes(), 12);
-    }
-
-    #[test]
-    fn unique_tracker_resets_at_barrier() {
-        let mut t = UniqueTracker::new();
-        t.add(0x100, 8);
-        t.barrier();
-        t.add(0x100, 8); // next iteration's value: unique again
-        assert_eq!(t.unique_bytes(), 16);
     }
 
     #[test]

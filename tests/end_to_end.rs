@@ -3,7 +3,8 @@
 //! application and paradigm on a scaled-down system.
 
 use system::{
-    geomean_speedup, single_gpu_time, speedup_row, Paradigm, PreparedWorkload, Runner, SystemConfig,
+    geomean_speedup, iteration_unique_bytes, single_gpu_time, speedup_row, Paradigm,
+    PreparedWorkload, Runner, SystemConfig,
 };
 use workloads::{suite, RunSpec, Workload};
 
@@ -128,7 +129,9 @@ fn memory_images_match_between_finepack_and_p2p_for_full_suite() {
         let image_for = |p: Paradigm| {
             let mut runner = Runner::new(cfg, p, 0.0, true);
             for iter_runs in prep.runs() {
-                runner.run_iteration(iter_runs, &[]);
+                runner
+                    .try_run_iteration(iter_runs, &[], iteration_unique_bytes(iter_runs))
+                    .expect("fault-free run");
             }
             runner.images().expect("tracking").to_vec()
         };

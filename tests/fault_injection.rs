@@ -6,7 +6,7 @@
 
 use gpu_model::{AddressMap, Gpu, GpuId, KernelRun, MemoryImage};
 use sim_engine::SimTime;
-use system::{FaultProfile, Paradigm, RunError, Runner, SystemConfig};
+use system::{iteration_unique_bytes, FaultProfile, Paradigm, RunError, Runner, SystemConfig};
 use workloads::{Pagerank, RunSpec, Workload};
 
 fn runs_for(app: &dyn Workload, cfg: &SystemConfig, spec: &RunSpec) -> Vec<KernelRun> {
@@ -22,7 +22,7 @@ fn runs_for(app: &dyn Workload, cfg: &SystemConfig, spec: &RunSpec) -> Vec<Kerne
 fn images_under(cfg: SystemConfig, runs: &[KernelRun]) -> Vec<MemoryImage> {
     let mut runner = Runner::new(cfg, Paradigm::FinePack, 0.0, true);
     runner
-        .try_run_iteration(runs, &[])
+        .try_run_iteration(runs, &[], iteration_unique_bytes(runs))
         .expect("run must survive");
     runner.images().unwrap().to_vec()
 }
@@ -59,7 +59,9 @@ fn replays_cost_wire_bytes_and_time_but_not_goodput() {
 
     let report_under = |cfg: SystemConfig| {
         let mut runner = Runner::new(cfg, Paradigm::FinePack, 0.0, false);
-        runner.try_run_iteration(&runs, &[]).expect("survives");
+        runner
+            .try_run_iteration(&runs, &[], iteration_unique_bytes(&runs))
+            .expect("survives");
         runner.finish("pagerank", 0.8)
     };
     let clean = report_under(clean_cfg);
@@ -94,7 +96,9 @@ fn zero_ber_profile_changes_nothing() {
 
     let report_under = |cfg: SystemConfig| {
         let mut runner = Runner::new(cfg, Paradigm::FinePack, 0.0, false);
-        runner.try_run_iteration(&runs, &[]).expect("survives");
+        runner
+            .try_run_iteration(&runs, &[], iteration_unique_bytes(&runs))
+            .expect("survives");
         runner.finish("pagerank", 0.8)
     };
     let clean = report_under(clean_cfg);
@@ -117,7 +121,9 @@ fn fault_injection_is_deterministic_per_seed() {
         let mut cfg = base.with_faults(FaultProfile::new(1e-6));
         cfg.seed = seed;
         let mut runner = Runner::new(cfg, Paradigm::FinePack, 0.0, false);
-        runner.try_run_iteration(&runs, &[]).expect("survives");
+        runner
+            .try_run_iteration(&runs, &[], iteration_unique_bytes(&runs))
+            .expect("survives");
         runner.finish("pagerank", 0.8)
     };
     let a = report_with_seed(1);
@@ -145,7 +151,7 @@ fn stuck_link_fails_with_diagnostic() {
 
     let mut runner = Runner::new(cfg, Paradigm::FinePack, 0.0, false);
     let err = runner
-        .try_run_iteration(&runs, &[])
+        .try_run_iteration(&runs, &[], iteration_unique_bytes(&runs))
         .expect_err("stuck link must kill the run");
     match &err {
         RunError::LinkDown(fault) => {

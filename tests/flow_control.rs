@@ -18,7 +18,8 @@
 use gpu_model::{AddressMap, Gpu, GpuId, KernelRun, MemoryImage};
 use sim_engine::SimTime;
 use system::{
-    CreditConfig, FaultProfile, FlowControlMode, Paradigm, PreparedWorkload, Runner, SystemConfig,
+    iteration_unique_bytes, CreditConfig, FaultProfile, FlowControlMode, Paradigm,
+    PreparedWorkload, Runner, SystemConfig,
 };
 use workloads::{Pagerank, RunSpec, Sssp, Workload};
 
@@ -112,7 +113,7 @@ fn transparency_survives_backpressure() {
     let runs = runs_for(&app, &cfg, &spec);
     let image_for = |p: Paradigm| -> Vec<MemoryImage> {
         let mut r = Runner::new(cfg, p, 0.0, true);
-        r.try_run_iteration(&runs, &[])
+        r.try_run_iteration(&runs, &[], iteration_unique_bytes(&runs))
             .expect("starved run survives");
         r.images().unwrap().to_vec()
     };
@@ -166,7 +167,7 @@ fn faults_compose_with_credits() {
     let runs = runs_for(&app, &cfg, &spec);
     let run_once = || {
         let mut r = Runner::new(cfg, Paradigm::FinePack, 0.0, true);
-        r.try_run_iteration(&runs, &[])
+        r.try_run_iteration(&runs, &[], iteration_unique_bytes(&runs))
             .expect("faulty starved run survives");
         let images = r.images().unwrap().to_vec();
         (r.finish("pagerank", 0.8), images)
@@ -190,7 +191,9 @@ fn faults_compose_with_credits() {
         0.0,
         true,
     );
-    clean.try_run_iteration(&runs, &[]).unwrap();
+    clean
+        .try_run_iteration(&runs, &[], iteration_unique_bytes(&runs))
+        .unwrap();
     let ic = clean.images().unwrap().to_vec();
     for g in 0..2 {
         assert!(
