@@ -83,21 +83,12 @@ fn main() {
         row(name, ns);
     }
 
-    // Event-queue schedule+pop churn: the serial core's innermost loop.
-    // Uniform spacing exercises the calendar's bucket scan; the heap
-    // variant is the differential-testing reference backend.
-    for (name, heap) in [
-        ("event_queue/calendar_64k", false),
-        ("event_queue/heap_64k", true),
-    ] {
+    // Event-queue schedule+pop churn: the store loop's credit retries
+    // and any caller-driven event loop run on this heap.
+    {
         const N: u64 = 65_536;
         let ns = time_per_elem(11, N, || {
-            let mut q: EventQueue<u32> = if heap {
-                EventQueue::with_heap()
-            } else {
-                EventQueue::with_capacity(N as usize)
-            };
-            q.reserve_for_span(N as usize, SimTime::from_ps(N * 700));
+            let mut q: EventQueue<u32> = EventQueue::new();
             for i in 0..N {
                 q.schedule(SimTime::from_ps(i * 700), i as u32);
             }
@@ -107,7 +98,7 @@ fn main() {
             }
             popped
         });
-        row(name, ns);
+        row("event_queue/heap_64k", ns);
     }
 
     // Packetization of a full flush batch.

@@ -1453,10 +1453,9 @@ pub(crate) fn bench(args: &Args) -> Result<String, CliError> {
     let available = available_parallelism();
     let single_core = available == 1 || pool.jobs() == 1;
 
-    let queue_backend = sim_engine::EventQueue::<u8>::new().backend_name();
     let json = format!(
-        "{{\n  \"bench\": \"harness\",\n  \"schema_version\": 2,\n  \
-         \"queue_backend\": \"{}\",\n  \"gpus\": {},\n  \
+        "{{\n  \"bench\": \"harness\",\n  \"schema_version\": 3,\n  \
+         \"gpus\": {},\n  \
          \"pcie\": \"{}\",\n  \
          \"iterations\": {},\n  \"scale_down\": {},\n  \"seed\": {},\n  \"apps\": {},\n  \
          \"jobs\": {},\n  \"available_parallelism\": {},\n  \
@@ -1470,7 +1469,6 @@ pub(crate) fn bench(args: &Args) -> Result<String, CliError> {
          \"events_per_sec\": {:.1}, \"events_per_sec_sigma\": {:.1}, \
          \"sim_ps_per_wall_sec\": {:.1} }},\n  \"speedup\": {:.3},\n  \
          \"parallel_efficiency\": {:.3},\n  \"deterministic\": {}\n}}\n",
-        queue_backend,
         spec.num_gpus,
         cfg.pcie_gen,
         spec.iterations,
@@ -1505,12 +1503,11 @@ pub(crate) fn bench(args: &Args) -> Result<String, CliError> {
     let _ = writeln!(
         out,
         "harness bench: {} apps x {} paradigms, {} GPUs, scale-down {}, \
-         {} queue, {warmup} warmup + {} reps (prep {:.0} ms untimed)",
+         {warmup} warmup + {} reps (prep {:.0} ms untimed)",
         apps.len(),
         Paradigm::FIG9.len(),
         spec.num_gpus,
         spec.scale_down,
-        queue_backend,
         serial_reps.len(),
         1e3 * prep_seconds,
     );
@@ -1989,7 +1986,7 @@ mod tests {
         let json = std::fs::read_to_string(out_s).unwrap();
         for key in [
             "\"bench\": \"harness\"",
-            "\"schema_version\": 2",
+            "\"schema_version\": 3",
             "\"jobs\": 2",
             "\"sim_events\"",
             "\"serial\"",
@@ -1999,10 +1996,10 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
-        assert!(
-            !json.contains("intra"),
-            "schema 2 has no intra-run keys: {json}"
-        );
+        for gone in ["intra", "queue_backend"] {
+            assert!(!json.contains(gone), "schema 3 has no {gone} key: {json}");
+        }
+        assert!(!rendered.contains("queue"), "{rendered}");
         let _ = std::fs::remove_file(&out_file);
     }
 

@@ -32,106 +32,6 @@ fn event_queue_is_a_stable_priority_queue() {
     }
 }
 
-/// The calendar backend is observationally identical to the reference
-/// heap backend under randomized schedule/pop interleavings — including
-/// zero-delta self-schedules (an event scheduling another event at the
-/// current time, as drain loops do), same-time tie bursts, and spans
-/// ranging from a few picoseconds to years of simulated time.
-#[test]
-fn calendar_and_heap_backends_are_observationally_identical() {
-    let mut rng = DetRng::new(0x51_0007, "queue-differential");
-    for round in 0..60 {
-        let n = rng.next_in_range(1, 300) as usize;
-        // Vary the span exponentially so some rounds cram every event
-        // into a few buckets and others spread them over many years.
-        let span = 1u64 << rng.next_in_range(4, 44);
-        let mut cal = EventQueue::with_capacity(n);
-        if round % 2 == 0 {
-            cal.reserve_for_span(n, SimTime::from_ps(span));
-        }
-        let mut heap = EventQueue::with_heap();
-        for i in 0..n {
-            let t = SimTime::from_ps(rng.next_u64_below(span));
-            cal.schedule(t, i);
-            heap.schedule(t, i);
-        }
-        // Interleave pops with re-schedules: half the popped events
-        // re-enter at `now + delta`, where delta is often zero.
-        let mut budget = rng.next_in_range(0, 2 * n as u64);
-        let mut next_id = n;
-        loop {
-            let (a, b) = (cal.pop(), heap.pop());
-            match (a, b) {
-                (None, None) => break,
-                (Some(x), Some(y)) => {
-                    assert_eq!(x.time, y.time, "round {round}: pop times diverged");
-                    assert_eq!(x.payload, y.payload, "round {round}: pop order diverged");
-                    if budget > 0 && rng.next_u64_below(2) == 0 {
-                        budget -= 1;
-                        let delta = if rng.next_u64_below(3) == 0 {
-                            SimTime::ZERO
-                        } else {
-                            SimTime::from_ps(rng.next_u64_below(span / 2 + 1))
-                        };
-                        cal.schedule_in(delta, next_id);
-                        heap.schedule_in(delta, next_id);
-                        next_id += 1;
-                    }
-                }
-                (a, b) => panic!("round {round}: backends disagree on emptiness: {a:?} vs {b:?}"),
-            }
-        }
-    }
-}
-
-/// A dense burst that grows the wheel (occupancy rebuilds) followed by
-/// a sparse tail spaced past one wheel revolution (direct-search jumps
-/// that eventually trigger a *shrinking* rebuild) must not lose events:
-/// the calendar pops every event, in exactly the heap oracle's order.
-#[test]
-fn shrinking_rebuild_drops_no_events() {
-    let mut rng = DetRng::new(0x51_0009, "queue-shrink");
-    for round in 0..20 {
-        let dense = rng.next_in_range(4_000, 12_000) as usize;
-        let tail = rng.next_in_range(50, 150) as usize;
-        let spacing = rng.next_in_range(32, 128);
-        let mut cal = EventQueue::new();
-        let mut heap = EventQueue::with_heap();
-        // Anchor at zero, then a dense burst *beyond the initial
-        // horizon* so the events land in wheel buckets and occupancy
-        // rebuilds grow the wheel well past its post-drain size.
-        cal.schedule(SimTime::ZERO, usize::MAX);
-        heap.schedule(SimTime::ZERO, usize::MAX);
-        let mut t = 100_000u64;
-        for i in 0..dense {
-            t += spacing + rng.next_u64_below(4);
-            cal.schedule(SimTime::from_ps(t), i);
-            heap.schedule(SimTime::from_ps(t), i);
-        }
-        // Sparse tail: each event just over one wheel revolution past
-        // the previous, so every pop in the tail needs a direct-search
-        // jump and the 8th jump forces a (shrinking) rebuild.
-        let revolution = 1u64 << 28; // > buckets.len() << learned shift
-        for i in 0..tail {
-            t += revolution + rng.next_u64_below(1 << 20);
-            cal.schedule(SimTime::from_ps(t), dense + i);
-            heap.schedule(SimTime::from_ps(t), dense + i);
-        }
-        let mut popped = 0usize;
-        while let Some(a) = cal.pop() {
-            let b = heap.pop().expect("heap has every event calendar has");
-            assert_eq!(
-                (a.time, a.seq, a.payload),
-                (b.time, b.seq, b.payload),
-                "round {round}: pop order diverged"
-            );
-            popped += 1;
-        }
-        assert!(heap.is_empty(), "round {round}: calendar dropped events");
-        assert_eq!(popped, dense + tail + 1, "round {round}: lost events");
-    }
-}
-
 /// Transfer time is additive: sending a+b bytes costs at least as
 /// much as the max part, at most the sum plus rounding.
 #[test]

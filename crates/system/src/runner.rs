@@ -56,38 +56,165 @@ struct PumpOutcome {
     blocked_until: Option<SimTime>,
 }
 
-/// Builds the iteration's pre-scheduled event queue. The schedule order
-/// — per GPU: egress stores, atomics, probes, fences, kernel end — is
-/// load-bearing: it fixes the tie-break sequence numbers and therefore
-/// the global pop order.
-fn fill_queue(queue: &mut EventQueue<Ev>, runs: &[KernelRun]) {
-    // Pre-size for the whole trace (plus a Retry slot per GPU) so
-    // schedule/pop never reallocate in the hot loop.
-    let trace_events: usize = runs
-        .iter()
-        .map(|r| r.egress.len() + r.atomics.len() + r.probes.len() + r.fences.len() + 1)
-        .sum();
-    queue.reset();
-    let span = runs
-        .iter()
-        .map(|r| r.kernel_time)
-        .max()
-        .unwrap_or(SimTime::ZERO);
-    queue.reserve_for_span(trace_events + runs.len(), span);
-    for (gpu, run) in runs.iter().enumerate() {
-        for (idx, t) in run.egress.iter().enumerate() {
-            queue.schedule(t.time, Ev::Store { gpu, idx });
+/// One GPU's read position in its five time-sorted trace streams, with
+/// its earliest unissued event cached.
+#[derive(Debug)]
+struct Cursor {
+    /// Next unissued index into egress, atomics, probes and fences.
+    next: [usize; 4],
+    /// Whether the kernel-end event has issued.
+    ended: bool,
+    /// The earliest unissued event by `(time, stream rank)`.
+    head: Option<(SimTime, Ev)>,
+}
+
+impl Cursor {
+    fn new(gpu: usize, run: &KernelRun) -> Self {
+        let mut c = Cursor {
+            next: [0; 4],
+            ended: false,
+            head: None,
+        };
+        c.refresh(gpu, run);
+        c
+    }
+
+    /// Recomputes the cached head. Streams are offered in rank order —
+    /// egress, atomics, probes, fences, kernel end — and a later stream
+    /// wins only when strictly earlier, so equal times issue in rank
+    /// order.
+    fn refresh(&mut self, gpu: usize, run: &KernelRun) {
+        let [e, a, p, f] = self.next;
+        let mut head: Option<(SimTime, Ev)> = None;
+        let mut offer = |time: Option<SimTime>, ev: Ev| {
+            if let Some(t) = time {
+                if head.is_none_or(|(h, _)| t < h) {
+                    head = Some((t, ev));
+                }
+            }
+        };
+        offer(run.egress.get(e).map(|s| s.time), Ev::Store { gpu, idx: e });
+        offer(
+            run.atomics.get(a).map(|s| s.time),
+            Ev::Atomic { gpu, idx: a },
+        );
+        offer(run.probes.get(p).map(|s| s.time), Ev::Probe { gpu, idx: p });
+        offer(run.fences.get(f).copied(), Ev::Fence { gpu });
+        offer(
+            (!self.ended).then_some(run.kernel_time),
+            Ev::KernelEnd { gpu },
+        );
+        self.head = head;
+    }
+
+    /// Consumes the cached head and caches the next one.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the GPU and the stream, if the consumed event's
+    /// successor in its stream is earlier than it: the merge is exact
+    /// only over non-decreasing streams. Checking each adjacent pair as
+    /// it is consumed covers every stream without a separate pass.
+    fn advance(&mut self, gpu: usize, run: &KernelRun) {
+        let (time, ev) = self.head.expect("advance past the end of a trace");
+        let (stream, successor) = match ev {
+            Ev::Store { .. } => {
+                self.next[0] += 1;
+                ("egress", run.egress.get(self.next[0]).map(|s| s.time))
+            }
+            Ev::Atomic { .. } => {
+                self.next[1] += 1;
+                ("atomics", run.atomics.get(self.next[1]).map(|s| s.time))
+            }
+            Ev::Probe { .. } => {
+                self.next[2] += 1;
+                ("probes", run.probes.get(self.next[2]).map(|p| p.time))
+            }
+            Ev::Fence { .. } => {
+                self.next[3] += 1;
+                ("fences", run.fences.get(self.next[3]).copied())
+            }
+            Ev::KernelEnd { .. } => {
+                self.ended = true;
+                ("kernel-end", None)
+            }
+            Ev::Retry { .. } => unreachable!("retries are not trace events"),
+        };
+        assert!(
+            successor.is_none_or(|t| t >= time),
+            "GPU {gpu}'s {stream} stream is not in non-decreasing time order"
+        );
+        self.refresh(gpu, run);
+    }
+}
+
+/// The store loop's event source: a k-way merge of every GPU's sorted
+/// trace streams plus the credit retries the loop schedules.
+///
+/// Trace events pop in `(time, gpu, stream rank, index)` order. A retry
+/// pops only when strictly earlier than every trace head, and retries
+/// pop among themselves by `(time, scheduling order)`. This is the
+/// `(time, seqno)` order of one queue filled per GPU in stream-rank
+/// order before any retry: only the heads that can fire next are held,
+/// never the whole trace.
+#[derive(Debug)]
+struct EventSource<'a> {
+    runs: &'a [KernelRun],
+    cursors: Vec<Cursor>,
+    /// Trace events not yet popped.
+    trace_pending: usize,
+    /// Pending retries, keyed by GPU.
+    retries: EventQueue<usize>,
+}
+
+impl<'a> EventSource<'a> {
+    fn new(runs: &'a [KernelRun]) -> Self {
+        EventSource {
+            runs,
+            cursors: runs
+                .iter()
+                .enumerate()
+                .map(|(gpu, run)| Cursor::new(gpu, run))
+                .collect(),
+            trace_pending: runs
+                .iter()
+                .map(|r| r.egress.len() + r.atomics.len() + r.probes.len() + r.fences.len() + 1)
+                .sum(),
+            retries: EventQueue::new(),
         }
-        for (idx, t) in run.atomics.iter().enumerate() {
-            queue.schedule(t.time, Ev::Atomic { gpu, idx });
+    }
+
+    /// Pending events: unissued trace events plus scheduled retries.
+    fn len(&self) -> usize {
+        self.trace_pending + self.retries.len()
+    }
+
+    fn schedule_retry(&mut self, at: SimTime, gpu: usize) {
+        self.retries.schedule(at, gpu);
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, Ev)> {
+        // The earliest trace head; ties go to the lowest GPU.
+        let mut best: Option<(SimTime, usize)> = None;
+        for (gpu, c) in self.cursors.iter().enumerate() {
+            if let Some((t, _)) = c.head {
+                if best.is_none_or(|(b, _)| t < b) {
+                    best = Some((t, gpu));
+                }
+            }
         }
-        for (idx, p) in run.probes.iter().enumerate() {
-            queue.schedule(p.time, Ev::Probe { gpu, idx });
+        if let Some(r) = self.retries.peek_time() {
+            if best.is_none_or(|(t, _)| r < t) {
+                let ev = self.retries.pop().expect("peeked");
+                return Some((r, Ev::Retry { gpu: ev.payload }));
+            }
         }
-        for f in &run.fences {
-            queue.schedule(*f, Ev::Fence { gpu });
-        }
-        queue.schedule(run.kernel_time, Ev::KernelEnd { gpu });
+        let (_, gpu) = best?;
+        let cursor = &mut self.cursors[gpu];
+        let head = cursor.head.expect("best is a live head");
+        cursor.advance(gpu, &self.runs[gpu]);
+        self.trace_pending -= 1;
+        Some(head)
     }
 }
 
@@ -166,10 +293,6 @@ pub struct Runner {
     events_since_progress: u64,
     trace: TraceHandle,
     sample_every: Option<SimTime>,
-    /// The iteration event queue, recycled run to run so wheel buckets
-    /// and the learned bucket width survive between iterations (see
-    /// [`EventQueue::reset`]).
-    queue_scratch: EventQueue<Ev>,
 }
 
 impl Runner {
@@ -236,12 +359,11 @@ impl Runner {
             events_since_progress: 0,
             trace: TraceHandle::off(),
             sample_every: None,
-            queue_scratch: EventQueue::new(),
         }
     }
 
     /// Checks every configured [`crate::RunBudget`] ceiling at
-    /// iteration-local time `now` with `pending` events still queued,
+    /// iteration-local time `now` with `pending` events not yet processed,
     /// returning a structured trip with a diagnostic snapshot when one
     /// is exceeded. `stall` carries the iteration's per-GPU SM stall
     /// clocks (empty outside the store-paradigm loop).
@@ -529,7 +651,12 @@ impl Runner {
     ///
     /// # Panics
     ///
-    /// Panics if `runs.len()` differs from the configured GPU count.
+    /// Panics if `runs.len()` differs from the configured GPU count. A
+    /// store paradigm also panics if any run's egress, atomics, probes
+    /// or fences stream is not in non-decreasing time order (the message
+    /// names the GPU and the stream): its event loop merges the streams
+    /// as they stand and checks each adjacent pair as it consumes it,
+    /// before the later event issues.
     pub fn try_run_iteration(
         &mut self,
         runs: &[KernelRun],
@@ -611,9 +738,9 @@ impl Runner {
         Ok(())
     }
 
-    /// The store-paradigm event loop: one global queue, every path
-    /// operation and fabric interaction inline (DESIGN.md §12 explains
-    /// why it stays serial).
+    /// The store-paradigm event loop: one [`EventSource`] merging the
+    /// GPUs' sorted traces, every path operation and fabric interaction
+    /// inline (DESIGN.md §12 explains why it stays serial).
     fn run_stores(
         &mut self,
         runs: &[KernelRun],
@@ -622,28 +749,26 @@ impl Runner {
     ) -> Result<(), RunError> {
         let credited = self.cfg.flow_control.credits().is_some();
         // Cumulative SM stall per GPU (credited mode). Every
-        // pre-scheduled event for a GPU shifts right by its
+        // trace event for a GPU shifts right by its
         // accumulated stall, preserving program order; with
         // zero stalls the replay — event order, timestamps,
         // fabric call sequence — is identical to open loop.
         let mut stall = vec![SimTime::ZERO; runs.len()];
         let mut retry_at: Vec<Option<SimTime>> = vec![None; runs.len()];
-        let mut queue = std::mem::take(&mut self.queue_scratch);
-        fill_queue(&mut queue, runs);
+        let mut events = EventSource::new(runs);
         let sample_step = self.sample_every.filter(|_| self.trace.is_on());
         let mut next_sample = sample_step.unwrap_or(SimTime::ZERO);
-        while let Some(ev) = queue.pop() {
+        while let Some((now, payload)) = events.pop() {
             self.sim_events += 1;
             self.events_since_progress += 1;
-            let now = ev.time;
-            self.check_budget(now, queue.len(), &stall)?;
+            self.check_budget(now, events.len(), &stall)?;
             if let Some(step) = sample_step {
                 while next_sample <= now {
                     self.take_samples(next_sample);
                     next_sample += step;
                 }
             }
-            if let Ev::Retry { gpu } = ev.payload {
+            if let Ev::Retry { gpu } = payload {
                 retry_at[gpu] = None;
                 let out = self.pump(gpu, now)?;
                 if out.last_drained > SimTime::ZERO {
@@ -653,12 +778,12 @@ impl Runner {
                 if let Some(until) = out.blocked_until {
                     if retry_at[gpu].is_none_or(|r| until < r) {
                         retry_at[gpu] = Some(until);
-                        queue.schedule(until, Ev::Retry { gpu });
+                        events.schedule_retry(until, gpu);
                     }
                 }
                 continue;
             }
-            let gpu = match ev.payload {
+            let gpu = match payload {
                 Ev::Store { gpu, .. }
                 | Ev::Atomic { gpu, .. }
                 | Ev::Probe { gpu, .. }
@@ -674,7 +799,7 @@ impl Runner {
             // threshold stalls the stream until draining —
             // gated on link credits — frees a slot.
             let is_mem_op = matches!(
-                ev.payload,
+                payload,
                 Ev::Store { .. } | Ev::Atomic { .. } | Ev::Probe { .. }
             );
             if credited && is_mem_op {
@@ -707,7 +832,7 @@ impl Runner {
                     // never return) could spin here past every
                     // pop-time check: budget the wait itself.
                     self.events_since_progress += 1;
-                    self.check_budget(until, queue.len(), &stall)?;
+                    self.check_budget(until, events.len(), &stall)?;
                     let waited = until.saturating_sub(eff);
                     self.trace.record(TraceEvent {
                         time: eff,
@@ -735,10 +860,10 @@ impl Runner {
                 self.trace.record(TraceEvent {
                     time: eff,
                     gpu: gpu as u8,
-                    kind: issue_kind(ev.payload, runs),
+                    kind: issue_kind(payload, runs),
                 });
             }
-            let mut packets = match ev.payload {
+            let mut packets = match payload {
                 Ev::Store { gpu, idx } => {
                     // Borrow straight from the run's egress
                     // stream: zero payload allocation per event.
@@ -762,7 +887,7 @@ impl Runner {
                 }
                 Ev::Retry { .. } => unreachable!("handled above"),
             };
-            if matches!(ev.payload, Ev::KernelEnd { .. }) {
+            if matches!(payload, Ev::KernelEnd { .. }) {
                 // The kernel is not done until its last
                 // operation has issued: stalls push it out.
                 *kernel_end = (*kernel_end).max(eff);
@@ -796,7 +921,7 @@ impl Runner {
                 if let Some(until) = out.blocked_until {
                     if retry_at[gpu].is_none_or(|r| until < r) {
                         retry_at[gpu] = Some(until);
-                        queue.schedule(until, Ev::Retry { gpu });
+                        events.schedule_retry(until, gpu);
                     }
                 }
             } else if !packets.is_empty() {
@@ -804,14 +929,15 @@ impl Runner {
                 *last_delivery = (*last_delivery).max(done);
             }
         }
-        debug_assert!(
+        // Always on: a lost retry would otherwise drop packets silently
+        // and under-report wire bytes.
+        assert!(
             self.paths
                 .iter()
                 .flatten()
                 .all(|p| p.output_ref().is_empty()),
-            "event queue drained with packets stranded in an output buffer"
+            "event loop drained with packets stranded in an output buffer"
         );
-        self.queue_scratch = queue;
         Ok(())
     }
 
@@ -980,6 +1106,170 @@ mod tests {
         assert_eq!(p2p.mean_stores_per_packet(), Some(1.0));
         // Same unique bytes either way (paradigm-independent).
         assert_eq!(fp.unique_bytes, p2p.unique_bytes);
+    }
+
+    /// The fill order the merge replaced, kept as its oracle: one heap
+    /// queue filled per GPU with egress, atomics, probes, fences and
+    /// kernel end, in that order, so sequence numbers break time ties;
+    /// retries are scheduled into the same queue behind them.
+    struct HeapOracle(EventQueue<Ev>);
+
+    impl HeapOracle {
+        fn new(runs: &[KernelRun]) -> Self {
+            let mut queue = EventQueue::new();
+            for (gpu, run) in runs.iter().enumerate() {
+                for (idx, t) in run.egress.iter().enumerate() {
+                    queue.schedule(t.time, Ev::Store { gpu, idx });
+                }
+                for (idx, t) in run.atomics.iter().enumerate() {
+                    queue.schedule(t.time, Ev::Atomic { gpu, idx });
+                }
+                for (idx, p) in run.probes.iter().enumerate() {
+                    queue.schedule(p.time, Ev::Probe { gpu, idx });
+                }
+                for f in &run.fences {
+                    queue.schedule(*f, Ev::Fence { gpu });
+                }
+                queue.schedule(run.kernel_time, Ev::KernelEnd { gpu });
+            }
+            HeapOracle(queue)
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, Ev)> {
+            self.0.pop().map(|e| (e.time, e.payload))
+        }
+
+        fn schedule_retry(&mut self, at: SimTime, gpu: usize) {
+            self.0.schedule(at, Ev::Retry { gpu });
+        }
+    }
+
+    /// A hand-built run: the given stream times, dummy payloads.
+    fn synthetic_run(
+        template: &KernelRun,
+        mut stream: impl FnMut(usize) -> Vec<SimTime>,
+        kernel_time: SimTime,
+    ) -> KernelRun {
+        let timed = |time: SimTime| gpu_model::TimedStore {
+            time,
+            store: gpu_model::RemoteStore {
+                src: GpuId::new(0),
+                dst: GpuId::new(1),
+                addr: 0,
+                data: vec![0; 4],
+            },
+        };
+        let probe = |time: SimTime| gpu_model::TimedProbe {
+            time,
+            dst: GpuId::new(1),
+            addr: 0,
+            len: 4,
+        };
+        KernelRun {
+            kernel_time,
+            egress: stream(0).into_iter().map(timed).collect(),
+            atomics: stream(1).into_iter().map(timed).collect(),
+            probes: stream(2).into_iter().map(probe).collect(),
+            fences: stream(3),
+            ..template.clone()
+        }
+    }
+
+    fn empty_run() -> KernelRun {
+        let map = AddressMap::new(2, 16 << 30);
+        Gpu::new(SystemConfig::paper(2).gpu, GpuId::new(0), map)
+            .execute_kernel(&gpu_model::KernelTrace::new("empty"))
+    }
+
+    /// The merge pops exactly the oracle's sequence: 2-64 GPUs, empty
+    /// streams, dense equal timestamps within and across GPUs and
+    /// streams, and retries injected at random times (often at the
+    /// current time, so they tie with pending trace events).
+    #[test]
+    fn merge_matches_the_heap_fill_order_oracle() {
+        let template = empty_run();
+        let mut rng = sim_engine::DetRng::new(0x5EED_0015, "trace-merge");
+        for round in 0..300 {
+            let gpus = rng.next_in_range(2, 64) as usize;
+            // A narrow time range forces ties; a wide one spreads out.
+            let range = if round % 3 == 0 { 1_000_000 } else { 8 };
+            let runs: Vec<KernelRun> = (0..gpus)
+                .map(|_| {
+                    let mut sorted_times = |_: usize| {
+                        let n = match rng.next_u64_below(4) {
+                            0 => 0,
+                            _ => rng.next_u64_below(12) as usize,
+                        };
+                        let mut v: Vec<SimTime> = (0..n)
+                            .map(|_| SimTime::from_ps(rng.next_u64_below(range)))
+                            .collect();
+                        v.sort();
+                        v
+                    };
+                    let streams: Vec<Vec<SimTime>> = (0..4).map(&mut sorted_times).collect();
+                    let kernel_time = SimTime::from_ps(rng.next_u64_below(range));
+                    synthetic_run(&template, |s| streams[s].clone(), kernel_time)
+                })
+                .collect();
+            let mut merge = EventSource::new(&runs);
+            let mut oracle = HeapOracle::new(&runs);
+            let mut popped = 0usize;
+            loop {
+                let pending = merge.len();
+                let (a, b) = (merge.pop(), oracle.pop());
+                assert_eq!(a, b, "round {round}: pop {popped} diverged");
+                let Some((now, _)) = a else { break };
+                assert_eq!(merge.len() + 1, pending, "round {round}: pending count");
+                popped += 1;
+                if rng.chance(0.2) {
+                    let delta = match rng.next_u64_below(3) {
+                        0 => 0,
+                        _ => rng.next_u64_below(range),
+                    };
+                    let at = now + SimTime::from_ps(delta);
+                    let gpu = rng.next_u64_below(gpus as u64) as usize;
+                    merge.schedule_retry(at, gpu);
+                    oracle.schedule_retry(at, gpu);
+                }
+            }
+            assert_eq!(merge.len(), 0, "round {round}: events left behind");
+        }
+    }
+
+    /// Every stream's order is checked, and the panic names it.
+    #[test]
+    fn each_unsorted_stream_is_named() {
+        let template = empty_run();
+        let ns = SimTime::from_ns;
+        for (k, name) in ["egress", "atomics", "probes", "fences"].iter().enumerate() {
+            let unsorted = |s: usize| if s == k { vec![ns(3), ns(1)] } else { vec![] };
+            let runs = [synthetic_run(&template, unsorted, ns(5))];
+            let drain = std::panic::AssertUnwindSafe(|| {
+                let mut events = EventSource::new(&runs);
+                while events.pop().is_some() {}
+            });
+            let err = std::panic::catch_unwind(drain).expect_err("unsorted stream accepted");
+            let msg = err.downcast_ref::<String>().expect("formatted message");
+            assert!(msg.contains(&format!("GPU 0's {name} stream")), "{msg}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "GPU 1's fences stream is not in non-decreasing time order")]
+    fn out_of_order_fences_are_rejected() {
+        let template = empty_run();
+        let ns = SimTime::from_ns;
+        let fences_only = |fences: Vec<SimTime>| {
+            synthetic_run(
+                &template,
+                |s| if s == 3 { fences.clone() } else { vec![] },
+                ns(5),
+            )
+        };
+        let sorted = fences_only(vec![ns(1), ns(2)]);
+        let bad = fences_only(vec![ns(3), ns(1)]);
+        let mut r = Runner::new(SystemConfig::paper(2), Paradigm::FinePack, 0.0, false);
+        let _ = r.try_run_iteration(&[sorted, bad], &[], 0);
     }
 
     #[test]
